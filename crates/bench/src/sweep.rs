@@ -7,19 +7,20 @@
 //! traces, multi-core fan-out) and once as sequential reference-simulator runs,
 //! with bit-exact parity checked between the two.
 //!
-//! It also measures the sweep executor's **work-stealing dispatch** against
-//! the legacy static chunk split on an adversarial mixed-cost grid: the slow
-//! (explicit slot-loop) runs are clustered at the front, so a static split
-//! hands one worker all of them while the analytic-path workers idle;
-//! stealing claims items one at a time from an atomic counter and
-//! load-balances. Both dispatches must produce bit-identical result vectors
-//! (element `i` is always filled as element `i`), which is the `parity` the
-//! committed baseline asserts. On a single-core host both fall back to the
-//! sequential fill, so `steal_speedup` honestly measures ~1.0 there; the gain
-//! shows on multi-core runners (the CI gate tracks regressions against the
-//! committed baseline either way).
+//! It also measures the sweep executor's **work-stealing dispatch**
+//! (`steal_fold`) against the legacy static chunk split on an adversarial
+//! mixed-cost grid: the slow (explicit slot-loop) runs are clustered at the
+//! front, so a static split hands one worker all of them while the
+//! analytic-path workers idle; stealing claims small balanced bands from an
+//! atomic counter and load-balances. Both dispatches must produce
+//! bit-identical result vectors (bands come back in order, so element `i`
+//! always lands at index `i`), which is the `parity` the committed baseline
+//! asserts. On a single-core host both fall back to the sequential fill, so
+//! `steal_speedup` honestly measures ~1.0 there; the gain shows on multi-core
+//! runners (the CI gate tracks regressions against the committed baseline
+//! either way).
 
-use latsched_engine::parallel::{fill_chunks_min, steal_chunks, worker_threads};
+use latsched_engine::parallel::{fill_chunks_min, steal_fold, worker_threads};
 use latsched_engine::{
     run_frames, run_frames_loop, run_sweep, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
     SweepCacheStats, SweepCaches, SweepMac, SweepReport, SweepSpec, SweepTraffic,
@@ -249,7 +250,7 @@ pub fn measure_sweep(
     // built to be adversarial for the static split: the first half of the
     // items replay the clean plan through the explicit slot loop (slow), the
     // second half closed-form (fast), so one static chunk carries all the
-    // slow runs while stealing claims items one at a time and balances.
+    // slow runs while stealing claims small bands and balances.
     let (clean, _) = crate::replay::clean_plan(window).map_err(SimError::Engine)?;
     let steal_config = KernelConfig {
         slots,
@@ -259,25 +260,26 @@ pub fn measure_sweep(
         seed: 7,
     };
     let steal_items = 96usize;
-    let fill = |offset: usize, chunk: &mut [Option<KernelCounts>]| {
-        for (i, out) in chunk.iter_mut().enumerate() {
-            let run = if offset + i < steal_items / 2 {
-                run_frames_loop(&clean, &steal_config)
-            } else {
-                run_frames(&clean, &steal_config)
-            };
-            *out = Some(run.expect("mixed-grid run"));
-        }
+    let item = |i: usize| {
+        let run = if i < steal_items / 2 {
+            run_frames_loop(&clean, &steal_config)
+        } else {
+            run_frames(&clean, &steal_config)
+        };
+        Some(run.expect("mixed-grid run"))
     };
     let mut static_out: Vec<Option<KernelCounts>> = vec![None; steal_items];
     let static_ms = median_ms(samples, || {
         static_out.iter_mut().for_each(|v| *v = None);
-        fill_chunks_min(&mut static_out, 2, fill);
+        fill_chunks_min(&mut static_out, 2, |offset, chunk| {
+            for (i, out) in chunk.iter_mut().enumerate() {
+                *out = item(offset + i);
+            }
+        });
     });
-    let mut steal_out: Vec<Option<KernelCounts>> = vec![None; steal_items];
+    let mut steal_out: Vec<Option<KernelCounts>> = Vec::new();
     let steal_ms = median_ms(samples, || {
-        steal_out.iter_mut().for_each(|v| *v = None);
-        steal_chunks(&mut steal_out, 2, 1, fill);
+        steal_out = steal_fold(steal_items, |band| band.map(item).collect::<Vec<_>>()).concat();
     });
     let steal_parity = static_out == steal_out && static_out.iter().all(Option::is_some);
 

@@ -1,22 +1,23 @@
 //! A small scoped-thread fork-join executor.
 //!
-//! The build environment is offline, so instead of `rayon` the engine parallelizes
-//! with `std::thread::scope`: an output slice is split into one contiguous chunk
-//! per worker and each chunk is filled on its own thread. For the engine's
-//! embarrassingly parallel workloads (one independent table lookup per output
-//! element, or one independent simulation run per sweep grid point) this
-//! captures all the available speedup without a work-stealing runtime.
+//! The build environment is offline, so instead of `rayon` the engine
+//! parallelizes with `std::thread::scope`, in two shapes:
 //!
-//! Fine-grained element fills keep that static split ([`fill_chunks`] /
-//! [`fill_chunks_min`]): per-element costs are uniform, so equal chunks
-//! balance and the zero-coordination split is fastest. Coarse-grained batches
-//! with *heterogeneous* element costs — sweep grids mixing analytic-path,
-//! loop-path and lane-batch runs — use [`steal_chunks`] instead: workers
-//! claim fixed-size index ranges from one atomic counter, so a worker that
-//! drew cheap elements pulls more work instead of idling behind the slowest
-//! static chunk.
+//! * [`fill_chunks`] / [`fill_chunks_min`] — uniform per-element fills. An
+//!   output slice is split into one contiguous chunk per worker and each chunk
+//!   is filled on its own thread; per-element costs are equal (one table
+//!   lookup, one slot band), so the zero-coordination static split balances
+//!   and is fastest.
+//! * [`steal_fold`] — heterogeneous banded folds. An index range is split into
+//!   balanced bands (4 per worker), workers claim bands from one atomic
+//!   counter and fold each into its own accumulator, and the accumulators come
+//!   back in band order. Sweep and search grids mix analytic-path, loop-path
+//!   and lane-batch runs, so a worker that drew cheap bands pulls more work
+//!   instead of idling behind the slowest static chunk.
 
+use crate::telemetry::{telemetry, Counter};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -95,73 +96,80 @@ where
     });
 }
 
-/// A raw base pointer into the output slice, shared across workers. Safety
-/// rests on the atomic claim counter: `fetch_add` hands every worker a
-/// distinct index range, so the per-claim sub-slices are disjoint.
-struct SlicePtr<T>(*mut T);
+/// Bands per worker in [`steal_fold`]: the oversubscription that gives
+/// stealing slack to balance heterogeneous band costs.
+const BANDS_PER_WORKER: usize = 4;
 
-// SAFETY: the pointer is only dereferenced on disjoint index ranges (one
-// atomic claim each), and `T: Send` lets those writes move across threads.
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
-/// Fills `out` by calling `fill(offset, chunk)` for disjoint contiguous
-/// chunks of (up to) `chunk_len` elements, claimed by worker threads from a
-/// single atomic counter — the work-stealing counterpart of
-/// [`fill_chunks_min`].
+/// Folds `0..n` in contiguous bands across the worker pool and returns one
+/// result per band, in band order.
 ///
-/// Where the static split hands each worker one `len / threads` chunk up
-/// front, here a worker that finishes a claim immediately claims the next
-/// `chunk_len` range, so heterogeneous element costs (a sweep grid mixing
-/// closed-form analytic runs with slot-loop runs) load-balance instead of
-/// letting the slowest static chunk dominate wall-clock. Claim order is
-/// nondeterministic, but chunk *contents* are not: element `i` is always
-/// filled as element `i`, so any output-indexed merge (grid-order flattening,
-/// band-order monoid folds) is bit-exact regardless of interleave.
-///
-/// Slices shorter than `min_parallel` (or single-threaded processes) fill on
-/// the calling thread, exactly like [`fill_chunks_min`].
-pub fn steal_chunks<T, F>(out: &mut [T], min_parallel: usize, chunk_len: usize, fill: F)
+/// The range splits into `min(4 × workers, n)` balanced bands — band `b`
+/// covers `b·n / bands .. (b + 1)·n / bands` — and workers claim band indices
+/// from one atomic counter, so a worker that drew cheap bands pulls more
+/// instead of idling behind the slowest one. Claim order is
+/// nondeterministic, but band boundaries are not: they depend on `n` and the
+/// worker count only, and results come back sorted by band, so any in-order
+/// merge (concatenating run-ordered bands, merging exact monoid folds) is
+/// bit-exact under every interleaving. `n = 0` yields no bands; a single
+/// worker folds every band on the calling thread.
+pub fn steal_fold<A, F>(n: usize, fold: F) -> Vec<A>
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    A: Send,
+    F: Fn(Range<usize>) -> A + Sync,
 {
-    let len = out.len();
-    let threads = worker_threads();
-    if len < min_parallel.max(2) || threads < 2 {
-        fill(0, out);
-        return;
+    let workers = worker_threads();
+    steal_fold_in(workers, n, workers * BANDS_PER_WORKER, fold)
+}
+
+/// [`steal_fold`] over an explicit worker and band count.
+fn steal_fold_in<A, F>(workers: usize, n: usize, bands: usize, fold: F) -> Vec<A>
+where
+    A: Send,
+    F: Fn(Range<usize>) -> A + Sync,
+{
+    let bands = bands.min(n);
+    // `b·n` in 128 bits cannot overflow; the quotient is at most `n`.
+    let start = |b: usize| (b as u128 * n as u128 / bands as u128) as usize;
+    let band = |b: usize| start(b)..start(b + 1);
+    let workers = workers.min(bands);
+    if workers < 2 {
+        return (0..bands).map(|b| fold(band(b))).collect();
     }
-    let chunk_len = chunk_len.max(1);
-    let workers = threads.min(len.div_ceil(chunk_len));
     let next = AtomicUsize::new(0);
-    let base = SlicePtr(out.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let fill = &fill;
-            let base = &base;
-            scope.spawn(move || loop {
-                let start = next.fetch_add(chunk_len, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                // One claim that yielded work; telemetry-gated, so the claim
-                // loop stays a bare fetch_add when profiling is off.
-                crate::telemetry::telemetry().count(crate::telemetry::Counter::StealClaims, 1);
-                let take = chunk_len.min(len - start);
-                // SAFETY: `start` came from a unique `fetch_add` claim, so
-                // `[start, start + take)` ranges never overlap across workers
-                // and stay within `len`.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), take) };
-                fill(start, chunk);
-            });
-        }
+    let mut claimed: Vec<(usize, A)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        if b >= bands {
+                            return done;
+                        }
+                        // Telemetry-gated, so the claim loop stays a bare
+                        // fetch_add when profiling is off.
+                        telemetry().count(Counter::StealClaims, 1);
+                        done.push((b, fold(band(b))));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
+    claimed.sort_unstable_by_key(|&(b, _)| b);
+    claimed.into_iter().map(|(_, a)| a).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fills_every_element_sequentially_and_in_parallel() {
@@ -201,31 +209,48 @@ mod tests {
     }
 
     #[test]
-    fn stolen_chunks_fill_every_element_exactly_once() {
-        for &(len, chunk) in &[(1usize, 1usize), (24, 1), (100, 7), (257, 64), (64, 64)] {
-            let mut out = vec![usize::MAX; len];
-            steal_chunks(&mut out, 2, chunk, |offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    assert_eq!(*v, usize::MAX, "element claimed twice");
-                    *v = (offset + i) * 3;
-                }
-            });
-            assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-        }
+    fn stolen_bands_match_static_chunks_bit_for_bit() {
+        let mix = |i: usize| {
+            let x = i as u64;
+            x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ x
+        };
+        let stolen: Vec<u64> =
+            steal_fold_in(3, 513, 12, |range| range.map(mix).collect::<Vec<_>>()).concat();
+        let mut static_split = vec![0u64; 513];
+        fill_chunks_min(&mut static_split, 2, |offset, chunk| {
+            for (i, v) in chunk.iter_mut().enumerate() {
+                *v = mix(offset + i);
+            }
+        });
+        assert_eq!(stolen, static_split);
     }
 
-    #[test]
-    fn stolen_chunks_match_static_chunks_bit_for_bit() {
-        let mut stolen = vec![0u64; 513];
-        let mut static_split = vec![0u64; 513];
-        let fill = |offset: usize, chunk: &mut [u64]| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                let x = (offset + i) as u64;
-                *v = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ x;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn bands_cover_every_index_once_in_order(
+            workers in 1usize..10,
+            n in 0usize..301,
+            bands in 1usize..65,
+        ) {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let ranges = steal_fold_in(workers, n, bands, |range| {
+                for i in range.clone() {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+                range
+            });
+            let used = bands.min(n);
+            prop_assert_eq!(ranges.len(), used);
+            let mut next = 0;
+            for range in &ranges {
+                prop_assert_eq!(range.start, next);
+                let len = range.len();
+                prop_assert!(len == n / used || len == n / used + 1, "unbalanced band {:?}", range);
+                next = range.end;
             }
-        };
-        steal_chunks(&mut stolen, 2, 8, fill);
-        fill_chunks_min(&mut static_split, 2, fill);
-        assert_eq!(stolen, static_split);
+            prop_assert_eq!(next, n);
+            prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
     }
 }

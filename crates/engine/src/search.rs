@@ -47,7 +47,7 @@ use crate::aggregate::{GroupFolds, OnlineFold};
 use crate::compiled::CompiledSchedule;
 use crate::error::{EngineError, Result};
 use crate::frames::fingerprint_words;
-use crate::parallel::{fill_chunks_min, worker_threads};
+use crate::parallel::steal_fold;
 use crate::scenario::{get_u64, invalid, ShapeSpec};
 use crate::simkernel::{run_frames, KernelConfig, KernelMac, KernelTraffic, TrafficTrace};
 use crate::store::StoreStats;
@@ -799,54 +799,39 @@ fn execute_search(
     let num_runs = candidates.len() * rpc;
     let s = spec.seeds.len();
     let r = spec.retries.len();
-    let bands = worker_threads().min(num_runs).max(1);
-    let per_band = num_runs.div_ceil(bands);
-    let mut band_folds: Vec<Option<Result<GroupFolds>>> = Vec::new();
-    band_folds.resize_with(bands, || None);
-    {
-        let candidates = &candidates;
-        let traces = &traces;
-        fill_chunks_min(&mut band_folds, 2, |offset, chunk| {
-            for (b, out) in chunk.iter_mut().enumerate() {
-                let start = (offset + b) * per_band;
-                let end = (start + per_band).min(num_runs);
-                let mut folds = GroupFolds::new(candidates.len());
-                let run_band = || -> Result<GroupFolds> {
-                    for run in start..end {
-                        let c = run / rpc;
-                        let within = run % rpc;
-                        let (ti, ri, si) = (within / (r * s), within / s % r, within % s);
-                        let seed = spec.seeds.get(si);
-                        let traffic = match &spec.traffic {
-                            SweepTraffic::Bernoulli(loads) => KernelTraffic::Trace(Arc::clone(
-                                &traces[&(c, seed, loads[ti].to_bits())],
-                            )),
-                            SweepTraffic::Periodic(periods) => KernelTraffic::Periodic {
-                                period: periods[ti],
-                            },
-                            SweepTraffic::Staggered(periods) => KernelTraffic::Staggered {
-                                period: periods[ti],
-                            },
-                        };
-                        let config = KernelConfig {
-                            slots: spec.slots,
-                            traffic,
-                            mac: KernelMac::Scheduled,
-                            max_retries: spec.retries[ri],
-                            seed,
-                        };
-                        let counts = run_frames(&candidates[c].plan, &config)?;
-                        folds.observe(c, &counts);
-                    }
-                    Ok(folds)
-                };
-                *out = Some(run_band());
-            }
-        });
-    }
+    let bands = steal_fold(num_runs, |runs| -> Result<GroupFolds> {
+        let mut folds = GroupFolds::new(candidates.len());
+        for run in runs {
+            let c = run / rpc;
+            let within = run % rpc;
+            let (ti, ri, si) = (within / (r * s), within / s % r, within % s);
+            let seed = spec.seeds.get(si);
+            let traffic = match &spec.traffic {
+                SweepTraffic::Bernoulli(loads) => {
+                    KernelTraffic::Trace(Arc::clone(&traces[&(c, seed, loads[ti].to_bits())]))
+                }
+                SweepTraffic::Periodic(periods) => KernelTraffic::Periodic {
+                    period: periods[ti],
+                },
+                SweepTraffic::Staggered(periods) => KernelTraffic::Staggered {
+                    period: periods[ti],
+                },
+            };
+            let config = KernelConfig {
+                slots: spec.slots,
+                traffic,
+                mac: KernelMac::Scheduled,
+                max_retries: spec.retries[ri],
+                seed,
+            };
+            let counts = run_frames(&candidates[c].plan, &config)?;
+            folds.observe(c, &counts);
+        }
+        Ok(folds)
+    });
     let mut folds = vec![OnlineFold::new(); candidates.len()];
-    for band in band_folds {
-        band.expect("every band is filled")?.merge_into(&mut folds);
+    for band in bands {
+        band?.merge_into(&mut folds);
     }
 
     // Score and rank.

@@ -25,12 +25,13 @@
 //!    structure, bit-identical to scalar per-seed runs (lane-dispatched
 //!    Bernoulli grids skip trace prefetch entirely: the lane kernel draws
 //!    generation bits inline, bit-identical to trace replay);
-//! 5. fans the expanded grid (scalar runs or lane batches) across all cores
-//!    with the engine's work-stealing executor
-//!    ([`crate::parallel::steal_chunks`]) — heterogeneous run costs (analytic
-//!    vs loop vs lane batches) load-balance via atomic chunk claims — and
-//!    aggregates the per-run [`KernelCounts`] into a [`SweepReport`],
-//!    including per-tier cache hit/miss/entry counters ([`SweepCacheStats`]).
+//! 5. folds the expanded grid's work items (scalar runs or lane batches) in
+//!    balanced bands across all cores with [`crate::parallel::steal_fold`] —
+//!    heterogeneous run costs (analytic vs loop vs lane batches)
+//!    load-balance via atomic band claims, full and streaming mode share the
+//!    one path (a band keeps its runs' counters, or folds them per group) —
+//!    and merges the bands in order into a [`SweepReport`], including
+//!    per-tier cache hit/miss/entry counters ([`SweepCacheStats`]).
 //!
 //! Because all three tiers are content-addressed, a *warm* repeat of a sweep
 //! (same [`SweepCaches`]) skips schedule compilation, plan fusion and trace
@@ -76,7 +77,7 @@ use crate::aggregate::{GroupBy, GroupFolds, GroupReport, GroupSpec, OnlineFold};
 use crate::cache::{AdjacencyCache, PlanCache, ScheduleCache, SearchCache, TraceCache};
 use crate::error::{EngineError, Result};
 use crate::frames::InterferenceCsr;
-use crate::parallel::{steal_chunks, worker_threads};
+use crate::parallel::steal_fold;
 use crate::scenario::{get_u64, invalid, ShapeSpec};
 use crate::simkernel::{
     run_frames, run_frames_lanes, KernelConfig, KernelCounts, KernelMac, KernelTraffic,
@@ -804,6 +805,9 @@ struct GridContext<'a> {
     /// unless the sweep replays Bernoulli traffic under ALOHA access).
     mac_traces: HashMap<(usize, u64), Arc<TrafficTrace>>,
     mac: KernelMac,
+    /// The grid's lane batches ([`lane_tasks`]), when its seed axis is
+    /// lane-dispatched; otherwise every run is its own work item.
+    lanes: Option<Vec<(usize, usize)>>,
 }
 
 /// One resolved grid point.
@@ -876,14 +880,27 @@ impl GridContext<'_> {
         }
     }
 
-    /// Executes one lane batch — `lanes` consecutive runs, the seed sub-range
-    /// of one `(window, traffic, retries)` grid point — through the
-    /// bit-sliced kernel, returning per-run counts in grid order.
-    fn lane_batch(&self, first: usize, lanes: usize) -> Result<Vec<KernelCounts>> {
+    /// Executes one work item — a single run, or a lane batch of up to 64
+    /// consecutive runs (the seed sub-range of one `(window, traffic,
+    /// retries)` grid point) through the bit-sliced kernel — and visits each
+    /// of its runs as `(run index, counts)`, in grid order.
+    fn visit(&self, item: usize, mut visit: impl FnMut(usize, KernelCounts)) -> Result<()> {
+        let Some(tasks) = &self.lanes else {
+            let point = self.point(item);
+            visit(item, run_frames(point.plan, &point.config)?);
+            return Ok(());
+        };
+        let (first, lanes) = tasks[item];
         let si = self.coords(first).3;
         let point = self.point(first);
         let seeds: Vec<u64> = (0..lanes).map(|l| self.spec.seeds.get(si + l)).collect();
-        run_frames_lanes(point.plan, &point.config, &seeds)
+        for (l, counts) in run_frames_lanes(point.plan, &point.config, &seeds)?
+            .into_iter()
+            .enumerate()
+        {
+            visit(first + l, counts);
+        }
+        Ok(())
     }
 
     /// Materializes one run's full-mode report from its counts.
@@ -932,38 +949,34 @@ fn lane_tasks(spec: &SweepSpec) -> Option<Vec<(usize, usize)>> {
     Some(tasks)
 }
 
-/// One worker's locally folded share of a streaming grid: dense per-group
-/// accumulators with a touched-list ([`GroupFolds`] — O(1) array indexing per
-/// fold, fold storage proportional to the groups the band actually saw) plus
-/// the band's aggregate.
-struct BandFold {
-    folds: GroupFolds,
+/// One band's share of the grid, folded in run order: the band's aggregate
+/// plus, in streaming mode, dense per-group accumulators with a touched-list
+/// ([`GroupFolds`] — O(1) array indexing per fold, fold storage proportional
+/// to the groups the band actually saw), or in full mode every run's counters.
+struct BandFold<'a> {
+    grouping: Option<&'a GroupBy>,
     aggregate: KernelCounts,
+    folds: GroupFolds,
+    runs: Vec<KernelCounts>,
 }
 
-impl BandFold {
-    fn new(num_groups: usize) -> Self {
+impl<'a> BandFold<'a> {
+    fn new(grouping: Option<&'a GroupBy>) -> Self {
         BandFold {
-            folds: GroupFolds::new(num_groups),
+            grouping,
             aggregate: KernelCounts::default(),
+            folds: GroupFolds::new(grouping.map_or(0, GroupBy::num_groups)),
+            runs: Vec::new(),
         }
     }
-}
 
-/// Merges worker bands — in band order, so the result is deterministic — into
-/// the sweep's aggregate and per-group folds.
-fn merge_bands(
-    slots: Vec<Option<Result<BandFold>>>,
-    num_groups: usize,
-) -> Result<(KernelCounts, Vec<OnlineFold>)> {
-    let mut aggregate = KernelCounts::default();
-    let mut folds = vec![OnlineFold::new(); num_groups];
-    for slot in slots {
-        let band = slot.expect("every band is filled")?;
-        aggregate.accumulate(&band.aggregate);
-        band.folds.merge_into(&mut folds);
+    fn observe(&mut self, run: usize, counts: KernelCounts) {
+        self.aggregate.accumulate(&counts);
+        match self.grouping {
+            Some(grouping) => self.folds.observe(grouping.group_of_run(run), &counts),
+            None => self.runs.push(counts),
+        }
     }
-    Ok((aggregate, folds))
 }
 
 /// Runs one sweep: compile every shared artifact once (through the caches),
@@ -1084,6 +1097,7 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
         traces,
         mac_traces,
         mac,
+        lanes,
     };
     let num_runs = spec.num_runs();
     // Resolve the grouping before the timed run phase so misconfigured specs
@@ -1095,141 +1109,41 @@ pub fn run_sweep(spec: &SweepSpec, caches: &SweepCaches) -> Result<SweepReport> 
     drop(setup_span);
     let setup_seconds = setup_start.elapsed().as_secs_f64();
 
-    // Execute the grid: one independent kernel run (or 64-seed lane batch)
-    // per work item, fanned across worker threads with work-stealing claims —
-    // run costs are heterogeneous (analytic replays vs slot loops vs lane
-    // batches), so workers that draw cheap items pull more instead of idling.
+    // Execute the grid: one work item per run (or per 64-seed lane batch),
+    // folded in balanced bands that worker threads claim from one atomic
+    // counter — run costs are heterogeneous (analytic replays vs slot loops
+    // vs lane batches), so workers that draw cheap bands pull more instead of
+    // idling. Full-mode bands keep their runs' counters in run order;
+    // streaming bands fold them into per-group accumulators, commutative
+    // monoids over exact integers. Either way the merge in band order
+    // reproduces the sequential result bit for bit, whoever ran which band.
     let run_start = Instant::now();
     let run_span = span(Stage::SweepRun);
-    let (aggregate, groups, per_run) = match (&grouping, &lanes) {
-        (None, None) => {
-            // Full mode: collect every run's counters, then materialize the
-            // per-run reports.
-            let mut results: Vec<Option<Result<KernelCounts>>> = Vec::new();
-            results.resize_with(num_runs, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut results, 2, 1, |offset, chunk| {
-                    // Worker threads start with an empty span path, so the
-                    // task span re-parents itself under the sweep's run span.
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepTask);
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let point = ctx.point(offset + i);
-                        *out = Some(run_frames(point.plan, &point.config));
-                    }
-                });
-            }
-            let mut aggregate = KernelCounts::default();
-            let mut per_run = Vec::with_capacity(num_runs);
-            for (run, result) in results.into_iter().enumerate() {
-                let counts = result.expect("every chunk is filled")?;
-                aggregate.accumulate(&counts);
-                per_run.push(ctx.run_report(run, counts));
-            }
-            (aggregate, Vec::new(), per_run)
+    let items = ctx.lanes.as_ref().map_or(num_runs, Vec::len);
+    let bands = steal_fold(items, |items| -> Result<BandFold<'_>> {
+        // Worker threads start with an empty span path, so the band span
+        // re-parents itself under the sweep's run span.
+        let _span = span_within(&[Stage::SweepRun], Stage::SweepBand);
+        let mut band = BandFold::new(grouping.as_ref());
+        for item in items {
+            ctx.visit(item, |run, counts| band.observe(run, counts))?;
         }
-        (None, Some(tasks)) => {
-            // Full mode, lane-dispatched: fan whole batches; each batch's
-            // counts come back in seed order and land on a contiguous run
-            // range, so flattening the batches in task order reproduces grid
-            // order exactly.
-            let mut results: Vec<Option<Result<Vec<KernelCounts>>>> = Vec::new();
-            results.resize_with(tasks.len(), || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut results, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepTask);
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let (first, lanes) = tasks[offset + i];
-                        *out = Some(ctx.lane_batch(first, lanes));
-                    }
-                });
-            }
-            let mut aggregate = KernelCounts::default();
-            let mut per_run = Vec::with_capacity(num_runs);
-            for result in results {
-                for counts in result.expect("every chunk is filled")? {
-                    aggregate.accumulate(&counts);
-                    per_run.push(ctx.run_report(per_run.len(), counts));
-                }
-            }
-            (aggregate, Vec::new(), per_run)
+        Ok(band)
+    });
+    let merge_span = span(Stage::FoldMerge);
+    let mut aggregate = KernelCounts::default();
+    let mut folds = vec![OnlineFold::new(); grouping.as_ref().map_or(0, GroupBy::num_groups)];
+    let mut per_run = Vec::with_capacity(if grouping.is_none() { num_runs } else { 0 });
+    for band in bands {
+        let band = band?;
+        aggregate.accumulate(&band.aggregate);
+        band.folds.merge_into(&mut folds);
+        for counts in band.runs {
+            per_run.push(ctx.run_report(per_run.len(), counts));
         }
-        (Some(grouping), None) => {
-            // Streaming mode: each worker band folds its contiguous run range
-            // into local per-group accumulators; the folds are commutative
-            // monoids over exact integers, so the barrier merge (in band
-            // order) reproduces the sequential fold bit for bit regardless of
-            // which worker stole which band. Bands oversubscribe the workers
-            // 4× so stealing has slack to balance heterogeneous band costs.
-            let bands = (worker_threads() * 4).min(num_runs).max(1);
-            let per_band = num_runs.div_ceil(bands);
-            let mut slots: Vec<Option<Result<BandFold>>> = Vec::new();
-            slots.resize_with(bands, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut slots, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepBand);
-                    for (b, out) in chunk.iter_mut().enumerate() {
-                        let start = (offset + b) * per_band;
-                        let end = (start + per_band).min(num_runs);
-                        let mut band = BandFold::new(grouping.num_groups());
-                        let run_band = || -> Result<BandFold> {
-                            for run in start..end {
-                                let point = ctx.point(run);
-                                let counts = run_frames(point.plan, &point.config)?;
-                                band.aggregate.accumulate(&counts);
-                                band.folds.observe(grouping.group_of_run(run), &counts);
-                            }
-                            Ok(band)
-                        };
-                        *out = Some(run_band());
-                    }
-                });
-            }
-            let merge_span = span(Stage::FoldMerge);
-            let (aggregate, folds) = merge_bands(slots, grouping.num_groups())?;
-            drop(merge_span);
-            (aggregate, grouping.reports(spec, folds), Vec::new())
-        }
-        (Some(grouping), Some(tasks)) => {
-            // Streaming mode, lane-dispatched: bands cover contiguous *task*
-            // ranges; every lane's counts fold at its own run index (`first +
-            // lane`), and the folds stay commutative monoids, so the barrier
-            // merge is as bit-exact as the scalar streaming path. Bands
-            // oversubscribe the workers 4× for stealing slack.
-            let bands = (worker_threads() * 4).min(tasks.len()).max(1);
-            let per_band = tasks.len().div_ceil(bands);
-            let mut slots: Vec<Option<Result<BandFold>>> = Vec::new();
-            slots.resize_with(bands, || None);
-            {
-                let ctx = &ctx;
-                steal_chunks(&mut slots, 2, 1, |offset, chunk| {
-                    let _span = span_within(&[Stage::SweepRun], Stage::SweepBand);
-                    for (b, out) in chunk.iter_mut().enumerate() {
-                        let start = (offset + b) * per_band;
-                        let end = (start + per_band).min(tasks.len());
-                        let mut band = BandFold::new(grouping.num_groups());
-                        let run_band = || -> Result<BandFold> {
-                            for &(first, lanes) in &tasks[start..end] {
-                                for (l, counts) in ctx.lane_batch(first, lanes)?.iter().enumerate()
-                                {
-                                    band.aggregate.accumulate(counts);
-                                    band.folds.observe(grouping.group_of_run(first + l), counts);
-                                }
-                            }
-                            Ok(band)
-                        };
-                        *out = Some(run_band());
-                    }
-                });
-            }
-            let merge_span = span(Stage::FoldMerge);
-            let (aggregate, folds) = merge_bands(slots, grouping.num_groups())?;
-            drop(merge_span);
-            (aggregate, grouping.reports(spec, folds), Vec::new())
-        }
-    };
+    }
+    let groups = grouping.map_or_else(Vec::new, |grouping| grouping.reports(spec, folds));
+    drop(merge_span);
     drop(run_span);
     let run_seconds = run_start.elapsed().as_secs_f64();
 

@@ -1,9 +1,10 @@
 //! Thread-count invariance of the telemetry counters: a sweep profiled under
 //! a forced single-worker pool must report exactly the dispatch mix, trace
 //! compilations and cache counters that `tests/sweep_parity.rs` pins for the
-//! same grid under the default pool. Steal-chunk claims are the one counter
-//! that legitimately depends on the worker count (claims only happen when 2+
-//! workers run), which is why they are not part of the pinned profile here —
+//! same grid under the default pool. Work-stealing band claims are the one
+//! counter that legitimately depends on the worker count (claims only happen
+//! when 2+ workers run), which is why they are not part of the pinned profile
+//! here —
 //! the CI smoke step makes the same exclusion when it diffs `--threads 1`
 //! against default-thread metrics.
 //!
@@ -50,7 +51,7 @@ fn forced_single_thread_sweeps_report_the_pinned_counters() {
     }
     assert_eq!(snapshot.dispatch_total(), spec.num_runs() as u64);
     assert_eq!(snapshot.counter(Counter::TraceCompilations), 8);
-    // One worker means no chunk is ever stolen.
+    // One worker means no band is ever stolen.
     assert_eq!(snapshot.counter(Counter::StealClaims), 0);
 
     // Cold-cache lookups are thread-invariant too: one schedule, one
